@@ -7,6 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tde_exec::hash::{GroupMap, HashStrategy, KeyPacking};
+use tde_exec::BLOCK_ROWS;
 use tde_storage::{HeapAccelerator, StringHeap};
 use tde_types::Collation;
 
@@ -16,8 +17,10 @@ fn bench_strategies(c: &mut Criterion) {
     let mut g = c.benchmark_group("hash_strategies");
     g.sample_size(15);
     g.throughput(Throughput::Elements(N as u64));
-    // 200 distinct 2-column keys; identical workload for all strategies.
-    let keys: Vec<[i64; 2]> = (0..N as i64).map(|i| [i % 20, 100 + (i % 10)]).collect();
+    // 200 distinct 2-column keys; identical workload for all strategies,
+    // grouped a block at a time as the aggregates do.
+    let a: Vec<i64> = (0..N as i64).map(|i| i % 20).collect();
+    let b: Vec<i64> = (0..N as i64).map(|i| 100 + (i % 10)).collect();
     let packing = KeyPacking::plan(&[Some((0, 19)), Some((100, 109))]).unwrap();
     assert!(packing.total_bits <= 16);
 
@@ -28,14 +31,17 @@ fn bench_strategies(c: &mut Criterion) {
     ] {
         g.bench_with_input(
             BenchmarkId::new("group", strategy.name()),
-            &keys,
-            |b, keys| {
-                b.iter(|| {
+            &(&a, &b),
+            |bench, (a, b)| {
+                bench.iter(|| {
                     let packing = (strategy != HashStrategy::Collision).then(|| packing.clone());
                     let mut m = GroupMap::new(strategy, packing);
+                    let mut ids = Vec::new();
                     let mut acc = 0usize;
-                    for k in keys {
-                        acc += m.get_or_insert(k);
+                    for at in (0..N).step_by(BLOCK_ROWS) {
+                        let hi = (at + BLOCK_ROWS).min(N);
+                        m.group_ids(&[&a[at..hi], &b[at..hi]], hi - at, &mut ids);
+                        acc += ids.iter().map(|&g| g as usize).sum::<usize>();
                     }
                     acc
                 });

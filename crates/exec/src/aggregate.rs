@@ -8,7 +8,7 @@
 
 use crate::block::{Block, Field, Repr, Schema};
 use crate::expr::AggFunc;
-use crate::hash::GroupMap;
+use crate::hash::{GroupMap, HashStrategy, KeyPacking};
 use crate::tactical;
 use crate::{BoxOp, Operator, BLOCK_ROWS};
 use tde_types::sentinel::{is_null_real, null_real, NULL_I64, NULL_TOKEN};
@@ -214,18 +214,330 @@ pub(crate) fn emit_blocks(rows: Vec<Vec<i64>>, ncols: usize) -> Vec<Block> {
     blocks
 }
 
+/// What an aggregate computes: its group-key columns, its aggregates and
+/// each aggregate's input domain.
+pub(crate) struct AggPlan {
+    pub(crate) group_cols: Vec<usize>,
+    pub(crate) aggs: Vec<AggSpec>,
+    domains: Vec<Domain>,
+}
+
+impl AggPlan {
+    pub(crate) fn new(input: &Schema, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> AggPlan {
+        let domains = aggs
+            .iter()
+            .map(|a| domain_of(&input.fields[a.col]))
+            .collect();
+        AggPlan {
+            group_cols,
+            aggs,
+            domains,
+        }
+    }
+
+    fn key_columns<'b>(&self, block: &'b Block) -> Vec<&'b [i64]> {
+        self.group_cols
+            .iter()
+            .map(|&c| &block.columns[c][..block.len])
+            .collect()
+    }
+
+    /// Fold `block` into `accs` (`accs[agg][group]`, grown to `groups`
+    /// groups), row `r` going to group `gids[r]`: one loop per aggregate.
+    fn fold_block(&self, accs: &mut [Vec<Acc>], gids: &[u32], groups: usize, block: &Block) {
+        for ((acc, spec), domain) in accs.iter_mut().zip(&self.aggs).zip(&self.domains) {
+            acc.resize(groups, init_acc());
+            fold_column(
+                acc,
+                gids,
+                &block.columns[spec.col][..block.len],
+                spec.func,
+                domain,
+            );
+        }
+    }
+
+    /// Merge group `src` of `from` into group `dst` of `into`.
+    fn merge_group(&self, into: &mut [Vec<Acc>], dst: usize, from: &[Vec<Acc>], src: usize) {
+        for (a, (spec, domain)) in self.aggs.iter().zip(&self.domains).enumerate() {
+            merge_acc(&mut into[a][dst], &from[a][src], spec.func, domain);
+        }
+    }
+
+    /// Column-major output for groups `0..n`: group keys, then each
+    /// aggregate's final value.
+    fn output_columns<'k>(
+        &self,
+        n: usize,
+        key: impl Fn(usize) -> &'k [i64],
+        accs: &[Vec<Acc>],
+    ) -> Vec<Vec<i64>> {
+        let mut cols: Vec<Vec<i64>> = vec![Vec::with_capacity(n); self.group_cols.len()];
+        for g in 0..n {
+            for (col, &v) in cols.iter_mut().zip(key(g)) {
+                col.push(v);
+            }
+        }
+        for ((acc, spec), domain) in accs.iter().zip(&self.aggs).zip(&self.domains) {
+            cols.push(
+                acc[..n]
+                    .iter()
+                    .map(|a| final_value(a, spec.func, domain))
+                    .collect(),
+            );
+        }
+        cols
+    }
+}
+
+/// Fold one input column into its accumulators, row `r` going to group
+/// `gids[r]`. Count and NULL-free integer or token Sum/Min/Max run as
+/// tight loops; everything else goes through [`fold`].
+fn fold_column(accs: &mut [Acc], gids: &[u32], vals: &[i64], func: AggFunc, domain: &Domain) {
+    // Generic, not `dyn`: each loop below compiles to its own body.
+    fn each(accs: &mut [Acc], gids: &[u32], vals: &[i64], f: impl Fn(&mut Acc, i64)) {
+        for (&g, &v) in gids.iter().zip(vals) {
+            f(&mut accs[g as usize], v);
+        }
+    }
+    let null = match domain {
+        Domain::Int => Some(NULL_I64),
+        Domain::Token => Some(NULL_TOKEN as i64),
+        Domain::Real | Domain::Dict(_) => None,
+    };
+    match func {
+        AggFunc::Count => each(accs, gids, vals, |a, _| a.count += 1),
+        _ if null.is_none_or(|n| vals.contains(&n)) => {
+            each(accs, gids, vals, |a, v| fold(a, func, domain, v))
+        }
+        // An empty accumulator holds 0, so the first value needs no case.
+        AggFunc::Sum => each(accs, gids, vals, |a, v| {
+            a.value = a.value.wrapping_add(v);
+            a.count += 1;
+        }),
+        AggFunc::Min => each(accs, gids, vals, |a, v| {
+            a.value = if a.count == 0 { v } else { a.value.min(v) };
+            a.count += 1;
+        }),
+        AggFunc::Max => each(accs, gids, vals, |a, v| {
+            a.value = if a.count == 0 { v } else { a.value.max(v) };
+            a.count += 1;
+        }),
+    }
+}
+
+/// Hash-aggregate state over any part of the input: the block-at-a-time
+/// grouping kernel behind [`HashAggregate`] and the morsel pipeline's
+/// per-worker partials. Group ids are dense, in first-insertion order.
+pub(crate) struct HashGroups {
+    map: GroupMap,
+    /// `accs[agg][group]`.
+    accs: Vec<Vec<Acc>>,
+    /// Each group's earliest input position folded so far.
+    first: Vec<u64>,
+    /// Group ids of the block being folded.
+    gids: Vec<u32>,
+}
+
+impl HashGroups {
+    pub(crate) fn new(
+        plan: &AggPlan,
+        strategy: HashStrategy,
+        packing: Option<KeyPacking>,
+    ) -> HashGroups {
+        HashGroups {
+            map: GroupMap::new(strategy, packing),
+            accs: vec![Vec::new(); plan.aggs.len()],
+            first: Vec::new(),
+            gids: Vec::new(),
+        }
+    }
+
+    /// Fold `block`, whose rows sit at input positions `at..`. Positions
+    /// order the input as the serial pipeline reads it.
+    pub(crate) fn fold_block(&mut self, plan: &AggPlan, block: &Block, at: u64) {
+        self.map
+            .group_ids(&plan.key_columns(block), block.len, &mut self.gids);
+        let groups = self.map.len();
+        // Min-update on every hit, not only on insert: a worker that
+        // steals folds morsels out of input order.
+        self.first.resize(groups, u64::MAX);
+        for (&g, pos) in self.gids.iter().zip(at..) {
+            let f = &mut self.first[g as usize];
+            *f = (*f).min(pos);
+        }
+        plan.fold_block(&mut self.accs, &self.gids, groups, block);
+    }
+
+    /// Merge partials that folded disjoint parts of the input, taking
+    /// their `degree × groups` entries in ascending earliest position: a
+    /// group is allocated at its first occurrence in the whole input, so
+    /// group ids come out in the serial pipeline's order. Exact for the
+    /// merge-safe functions (see [`merge_acc`]).
+    pub(crate) fn merge(
+        plan: &AggPlan,
+        strategy: HashStrategy,
+        packing: Option<KeyPacking>,
+        parts: Vec<HashGroups>,
+    ) -> HashGroups {
+        let mut order: Vec<(u64, u32, u32)> = parts
+            .iter()
+            .enumerate()
+            .flat_map(|(p, part)| {
+                part.first
+                    .iter()
+                    .enumerate()
+                    .map(move |(g, &pos)| (pos, p as u32, g as u32))
+            })
+            .collect();
+        // Each entry's position is a distinct input row: a total order.
+        order.sort_unstable_by_key(|e| e.0);
+        // Group the sorted entries' keys in one pass: ids come out in
+        // ascending earliest position.
+        let mut keys = vec![Vec::with_capacity(order.len()); plan.group_cols.len()];
+        for &(_, p, g) in &order {
+            for (col, &k) in keys.iter_mut().zip(parts[p as usize].map.key(g as usize)) {
+                col.push(k);
+            }
+        }
+        let keys: Vec<&[i64]> = keys.iter().map(Vec::as_slice).collect();
+        let mut out = HashGroups::new(plan, strategy, packing);
+        out.map.group_ids(&keys, order.len(), &mut out.gids);
+        let groups = out.map.len();
+        out.first.resize(groups, u64::MAX);
+        for acc in &mut out.accs {
+            acc.resize(groups, init_acc());
+        }
+        for (&(pos, p, g), &id) in order.iter().zip(&out.gids) {
+            let id = id as usize;
+            out.first[id] = out.first[id].min(pos);
+            plan.merge_group(&mut out.accs, id, &parts[p as usize].accs, g as usize);
+        }
+        out
+    }
+
+    /// Finalize into column-major output blocks, one row per group in id
+    /// order.
+    pub(crate) fn finish(mut self, plan: &AggPlan) -> Vec<Block> {
+        // A global aggregate (no group keys) over empty input still
+        // produces one row of empty aggregates, SQL-style.
+        if plan.group_cols.is_empty() && self.map.is_empty() {
+            self.map.group_ids(&[], 1, &mut self.gids);
+            for acc in &mut self.accs {
+                acc.push(init_acc());
+            }
+        }
+        let map = &self.map;
+        let cols = plan.output_columns(map.len(), |g| map.key(g), &self.accs);
+        emit_blocks(cols, plan.group_cols.len() + plan.aggs.len())
+    }
+}
+
+/// Runs of contiguous equal keys over grouped input: the kernel behind
+/// [`OrderedAggregate`] and the morsel pipeline's ordered partials. Run
+/// `i` has key `keys[i * width..]`.
+pub(crate) struct OrderedRuns {
+    keys: Vec<i64>,
+    /// `accs[agg][run]`.
+    accs: Vec<Vec<Acc>>,
+    len: usize,
+    /// Run ids of the block being folded.
+    gids: Vec<u32>,
+}
+
+impl OrderedRuns {
+    pub(crate) fn new(plan: &AggPlan) -> OrderedRuns {
+        OrderedRuns {
+            keys: Vec::new(),
+            accs: vec![Vec::new(); plan.aggs.len()],
+            len: 0,
+            gids: Vec::new(),
+        }
+    }
+
+    fn key(&self, plan: &AggPlan, run: usize) -> &[i64] {
+        let w = plan.group_cols.len();
+        &self.keys[run * w..(run + 1) * w]
+    }
+
+    /// Fold the next block of grouped input. A run starts wherever any
+    /// key column changes, found one column at a time.
+    pub(crate) fn fold_block(&mut self, plan: &AggPlan, block: &Block) {
+        let n = block.len;
+        if n == 0 {
+            return;
+        }
+        let cols = plan.key_columns(block);
+        self.gids.clear();
+        self.gids.resize(n, 0);
+        for col in &cols {
+            for (s, pair) in self.gids[1..].iter_mut().zip(col.windows(2)) {
+                *s |= u32::from(pair[0] != pair[1]);
+            }
+        }
+        let continues = self.len > 0
+            && cols
+                .iter()
+                .zip(self.key(plan, self.len - 1))
+                .all(|(c, &k)| c[0] == k);
+        self.gids[0] = u32::from(!continues);
+        let mut id = (self.len as u32).wrapping_sub(1);
+        for (r, g) in self.gids.iter_mut().enumerate() {
+            if *g == 1 {
+                id = id.wrapping_add(1);
+                self.keys.extend(cols.iter().map(|c| c[r]));
+            }
+            *g = id;
+        }
+        self.len = id as usize + 1;
+        plan.fold_block(&mut self.accs, &self.gids, self.len, block);
+    }
+
+    /// Append the runs of the next part of the input, folding its first
+    /// run into our last when that group continues across the boundary.
+    pub(crate) fn append(&mut self, plan: &AggPlan, next: OrderedRuns) {
+        let skip = usize::from(
+            self.len > 0 && next.len > 0 && self.key(plan, self.len - 1) == next.key(plan, 0),
+        );
+        if skip == 1 {
+            plan.merge_group(&mut self.accs, self.len - 1, &next.accs, 0);
+        }
+        self.keys
+            .extend_from_slice(&next.keys[skip * plan.group_cols.len()..]);
+        for (acc, src) in self.accs.iter_mut().zip(&next.accs) {
+            acc.extend_from_slice(&src[skip..]);
+        }
+        self.len += next.len - skip;
+    }
+
+    /// Finalize and remove the first `n` runs, as column-major output.
+    pub(crate) fn take(&mut self, plan: &AggPlan, n: usize) -> Vec<Vec<i64>> {
+        let cols = plan.output_columns(n, |g| self.key(plan, g), &self.accs);
+        self.keys.drain(..n * plan.group_cols.len());
+        for acc in &mut self.accs {
+            acc.drain(..n);
+        }
+        self.len -= n;
+        cols
+    }
+
+    /// Finalize every run into output blocks.
+    pub(crate) fn finish(mut self, plan: &AggPlan) -> Vec<Block> {
+        let cols = self.take(plan, self.len);
+        emit_blocks(cols, plan.group_cols.len() + plan.aggs.len())
+    }
+}
+
 /// Hash aggregation with a tactically chosen strategy.
 pub struct HashAggregate {
     input: Option<BoxOp>,
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
+    plan: AggPlan,
     schema: Schema,
-    domains: Vec<Domain>,
     output: Vec<Block>,
     next: usize,
     /// The strategy that was chosen (visible for tests and explain).
-    pub strategy: crate::hash::HashStrategy,
-    packing: Option<crate::hash::KeyPacking>,
+    pub strategy: HashStrategy,
+    packing: Option<KeyPacking>,
 }
 
 impl HashAggregate {
@@ -234,17 +546,12 @@ impl HashAggregate {
         let in_schema = input.schema();
         let keys: Vec<&Field> = group_cols.iter().map(|&c| &in_schema.fields[c]).collect();
         let (strategy, packing) = tactical::choose_hash_strategy(&keys);
-        let domains = aggs
-            .iter()
-            .map(|a| domain_of(&in_schema.fields[a.col]))
-            .collect();
         let schema = output_schema(in_schema, &group_cols, &aggs);
+        let plan = AggPlan::new(in_schema, group_cols, aggs);
         HashAggregate {
             input: Some(input),
-            group_cols,
-            aggs,
+            plan,
             schema,
-            domains,
             output: Vec::new(),
             next: 0,
             strategy,
@@ -254,51 +561,13 @@ impl HashAggregate {
 
     fn run(&mut self) {
         let mut input = self.input.take().expect("aggregate already ran");
-        let mut groups = GroupMap::new(self.strategy, self.packing.clone());
-        let mut accs: Vec<Vec<Acc>> = Vec::new(); // [group][agg]
-        let mut key = vec![0i64; self.group_cols.len()];
+        let mut groups = HashGroups::new(&self.plan, self.strategy, self.packing.clone());
+        let mut at = 0u64;
         while let Some(block) = input.next_block() {
-            for r in 0..block.len {
-                for (k, &c) in self.group_cols.iter().enumerate() {
-                    key[k] = block.columns[c][r];
-                }
-                let g = groups.get_or_insert(&key);
-                if g == accs.len() {
-                    accs.push(vec![init_acc(); self.aggs.len()]);
-                }
-                for (a, spec) in self.aggs.iter().enumerate() {
-                    fold(
-                        &mut accs[g][a],
-                        spec.func,
-                        &self.domains[a],
-                        block.columns[spec.col][r],
-                    );
-                }
-            }
+            groups.fold_block(&self.plan, &block, at);
+            at += block.len as u64;
         }
-        // A global aggregate (no group keys) over empty input still
-        // produces one row of empty aggregates, SQL-style.
-        if self.group_cols.is_empty() && groups.is_empty() {
-            groups.get_or_insert(&[]);
-            accs.push(vec![init_acc(); self.aggs.len()]);
-        }
-        // Assemble column-major output: group keys then aggregates.
-        let ng = groups.len();
-        let ncols = self.group_cols.len() + self.aggs.len();
-        let mut cols: Vec<Vec<i64>> = vec![Vec::with_capacity(ng); ncols];
-        for (g, gk) in groups.keys().iter().enumerate() {
-            for (k, &v) in gk.iter().enumerate() {
-                cols[k].push(v);
-            }
-            for (a, spec) in self.aggs.iter().enumerate() {
-                cols[self.group_cols.len() + a].push(final_value(
-                    &accs[g][a],
-                    spec.func,
-                    &self.domains[a],
-                ));
-            }
-        }
-        self.output = emit_blocks(cols, ncols);
+        self.output = groups.finish(&self.plan);
     }
 }
 
@@ -321,14 +590,9 @@ impl Operator for HashAggregate {
 /// contiguously. One pass, no hash table (paper §4.2.2).
 pub struct OrderedAggregate {
     input: BoxOp,
-    group_cols: Vec<usize>,
-    aggs: Vec<AggSpec>,
+    plan: AggPlan,
     schema: Schema,
-    domains: Vec<Domain>,
-    current_key: Option<Vec<i64>>,
-    current: Vec<Acc>,
-    key_scratch: Vec<i64>,
-    pending: Vec<Vec<i64>>, // column-major finished groups
+    runs: OrderedRuns,
     done: bool,
 }
 
@@ -336,55 +600,25 @@ impl OrderedAggregate {
     /// Aggregate grouped `input` by `group_cols`.
     pub fn new(input: BoxOp, group_cols: Vec<usize>, aggs: Vec<AggSpec>) -> OrderedAggregate {
         let in_schema = input.schema();
-        let domains = aggs
-            .iter()
-            .map(|a| domain_of(&in_schema.fields[a.col]))
-            .collect();
         let schema = output_schema(in_schema, &group_cols, &aggs);
-        let ncols = group_cols.len() + aggs.len();
+        let plan = AggPlan::new(in_schema, group_cols, aggs);
+        let runs = OrderedRuns::new(&plan);
         OrderedAggregate {
             input,
-            group_cols,
-            aggs,
+            plan,
             schema,
-            domains,
-            current_key: None,
-            current: Vec::new(),
-            key_scratch: Vec::new(),
-            pending: vec![Vec::new(); ncols],
+            runs,
             done: false,
         }
     }
 
-    fn flush_group(&mut self) {
-        if let Some(key) = self.current_key.take() {
-            for (k, v) in key.into_iter().enumerate() {
-                self.pending[k].push(v);
-            }
-            for (a, spec) in self.aggs.iter().enumerate() {
-                self.pending[self.group_cols.len() + a].push(final_value(
-                    &self.current[a],
-                    spec.func,
-                    &self.domains[a],
-                ));
-            }
+    /// Runs no later input can extend: all but the open last one.
+    fn complete_runs(&self) -> usize {
+        if self.done {
+            self.runs.len
+        } else {
+            self.runs.len.saturating_sub(1)
         }
-    }
-
-    fn pending_rows(&self) -> usize {
-        self.pending.first().map_or(0, Vec::len)
-    }
-
-    fn take_pending(&mut self, n: usize) -> Block {
-        let columns: Vec<Vec<i64>> = self
-            .pending
-            .iter_mut()
-            .map(|c| {
-                let rest = c.split_off(n.min(c.len()));
-                std::mem::replace(c, rest)
-            })
-            .collect();
-        Block::new(columns)
     }
 }
 
@@ -394,37 +628,20 @@ impl Operator for OrderedAggregate {
     }
 
     fn next_block(&mut self) -> Option<Block> {
-        while !self.done && self.pending_rows() < BLOCK_ROWS {
-            let Some(block) = self.input.next_block() else {
-                self.flush_group();
-                self.done = true;
-                break;
-            };
-            for r in 0..block.len {
-                self.key_scratch.clear();
-                for &c in &self.group_cols {
-                    self.key_scratch.push(block.columns[c][r]);
-                }
-                if self.current_key.as_deref() != Some(&self.key_scratch[..]) {
-                    self.flush_group();
-                    self.current_key = Some(self.key_scratch.clone());
-                    self.current = vec![init_acc(); self.aggs.len()];
-                }
-                for (a, spec) in self.aggs.iter().enumerate() {
-                    fold(
-                        &mut self.current[a],
-                        spec.func,
-                        &self.domains[a],
-                        block.columns[spec.col][r],
-                    );
-                }
+        while !self.done && self.complete_runs() < BLOCK_ROWS {
+            match self.input.next_block() {
+                Some(block) => self.runs.fold_block(&self.plan, &block),
+                None => self.done = true,
             }
         }
-        let n = self.pending_rows().min(BLOCK_ROWS);
+        let n = self.complete_runs().min(BLOCK_ROWS);
         if n == 0 {
             return None;
         }
-        Some(self.take_pending(n))
+        Some(Block {
+            columns: self.runs.take(&self.plan, n),
+            len: n,
+        })
     }
 }
 

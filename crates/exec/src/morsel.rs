@@ -14,10 +14,15 @@
 //!   align on decompression-block boundaries, so each ranged scan emits
 //!   exactly the blocks the whole scan would (see
 //!   `block_ranges_partition_the_scan` in [`crate::scan`]).
-//! * Hash-aggregate partials carry their groups in first-occurrence
-//!   order; merging morsels in morsel order reproduces the serial
-//!   insertion order exactly, and integer fold functions are
-//!   associative and commutative so [`merge_acc`] is exact. Real sums
+//! * Hash-aggregate partials are per worker, not per morsel: each worker
+//!   folds every morsel it claims into one [`HashGroups`] that records,
+//!   per group, the earliest input position `(morsel, row)` it has seen
+//!   — min-updated on every hit, because a worker that steals from a
+//!   deque's back folds morsels out of order. The merge takes the
+//!   `degree × groups` entries in ascending earliest position, so each
+//!   group is allocated at its first occurrence in the whole input: the
+//!   serial insertion order exactly. Integer fold functions are
+//!   associative and commutative, so [`merge_acc`] is exact. Real sums
 //!   are order-dependent — the planner declines parallelism for them.
 //! * Ordered-aggregate partials are runs of contiguous groups,
 //!   concatenated in morsel order with a boundary merge when the last
@@ -27,19 +32,21 @@
 //! The scheduler is deliberately simple: per-worker [`RangeDeque`]s of
 //! contiguous morsel ids (one packed atomic word each — exhaustively
 //! model-checked below), owner pops from the front, idle workers steal
-//! from the back round-robin. No morsel is pushed after start, so
-//! all-deques-empty is a safe termination condition. A panicking worker
-//! poisons the run and drains every deque; the consumer then observes
-//! the panic instead of a silent partial result.
+//! from the back round-robin. Each worker folds the morsels it claims
+//! into its own state; pass-through and ordered pipelines keep that
+//! state as `(morsel, output)` pairs and reassemble them in morsel
+//! order. No morsel is pushed after start, so all-deques-empty is a safe
+//! termination condition. A panicking worker poisons the run and drains
+//! every deque; the consumer then observes the panic instead of a silent
+//! partial result.
 
 use crate::aggregate::{
-    domain_of, emit_blocks, final_value, fold, init_acc, merge_acc, output_schema, Acc, AggSpec,
-    Domain,
+    domain_of, output_schema, AggPlan, AggSpec, Domain, HashGroups, OrderedRuns,
 };
 use crate::block::{Block, Schema};
 use crate::expr::{AggFunc, Expr};
 use crate::handle::ColumnHandle;
-use crate::hash::{GroupMap, HashStrategy, KeyPacking};
+use crate::hash::{HashStrategy, KeyPacking};
 use crate::merged_scan::{MergedScan, MergedSource};
 use crate::scan::TableScan;
 use crate::tactical;
@@ -55,7 +62,8 @@ pub const MORSEL_BLOCKS: usize = 4;
 
 /// A work-stealing deque over a contiguous range of morsel ids, packed
 /// into one `AtomicU64` — `head` in the upper 32 bits, `tail` in the
-/// lower; the pending morsels are `[head, tail)`.
+/// lower 31, and bit 31 set once anything was stolen from the back; the
+/// pending morsels are `[head, tail)`.
 ///
 /// Every operation is a single-word CAS, so the protocol is trivially
 /// linearizable, and because ids are claimed monotonically (head only
@@ -67,14 +75,17 @@ pub struct RangeDeque {
     state: AtomicU64,
 }
 
+const STOLEN: u64 = 1 << 31;
+
 #[inline]
 fn pack(head: u32, tail: u32) -> u64 {
+    debug_assert!(u64::from(tail) < STOLEN, "morsel id {tail} out of range");
     (u64::from(head)) << 32 | u64::from(tail)
 }
 
 #[inline]
 fn unpack(s: u64) -> (u32, u32) {
-    ((s >> 32) as u32, s as u32)
+    ((s >> 32) as u32, (s & (STOLEN - 1)) as u32)
 }
 
 impl RangeDeque {
@@ -96,7 +107,7 @@ impl RangeDeque {
             }
             match self.state.compare_exchange_weak(
                 s,
-                pack(head + 1, tail),
+                pack(head + 1, tail) | (s & STOLEN),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -116,7 +127,7 @@ impl RangeDeque {
             }
             match self.state.compare_exchange_weak(
                 s,
-                pack(head, tail - 1),
+                pack(head, tail - 1) | STOLEN,
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -138,7 +149,7 @@ impl RangeDeque {
             }
             match self.state.compare_exchange_weak(
                 s,
-                pack(tail, tail),
+                pack(tail, tail) | (s & STOLEN),
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
@@ -149,12 +160,17 @@ impl RangeDeque {
     }
 
     /// Owner end: extend the pending range by `n` ids past the current
-    /// tail. Only meaningful before workers race on the deque (the
-    /// scheduler seeds everything up front); still a CAS so the model
-    /// can exercise push/steal interleavings.
-    pub fn push_back(&self, n: u32) {
+    /// tail, returning whether it did. Refused once anything was stolen
+    /// from the back: the stolen ids sit past the tail, and a contiguous
+    /// `[head, tail)` cannot skip them. Only meaningful before workers
+    /// race on the deque (the scheduler seeds everything up front);
+    /// still a CAS so the model can exercise push/steal interleavings.
+    pub fn push_back(&self, n: u32) -> bool {
         let mut s = self.state.load(Ordering::Acquire);
         loop {
+            if s & STOLEN != 0 {
+                return false;
+            }
             let (head, tail) = unpack(s);
             match self.state.compare_exchange_weak(
                 s,
@@ -162,7 +178,7 @@ impl RangeDeque {
                 Ordering::AcqRel,
                 Ordering::Acquire,
             ) {
-                Ok(_) => return,
+                Ok(_) => return true,
                 Err(cur) => s = cur,
             }
         }
@@ -175,35 +191,33 @@ impl RangeDeque {
     }
 }
 
-/// Scheduler outcome for one morsel: which worker ran it, whether it was
-/// stolen, and the payload the pipeline produced.
-struct Done<T> {
-    morsel: u32,
-    out: T,
-}
-
-/// Run `nmorsels` tasks across `degree` workers with work stealing,
-/// returning the per-morsel outputs in morsel order. `f` must be safe to
-/// call from any worker. Propagates the first worker panic to the
-/// caller after every worker has stopped.
-pub(crate) fn run_morsels<T, F>(degree: usize, nmorsels: usize, f: F) -> Vec<T>
+/// Run `nmorsels` tasks across `degree` workers with work stealing.
+/// Each worker starts from `init()` and folds every morsel it claims
+/// into that state with `fold`, in claim order — ascending through its
+/// own range, then descending through what it steals. Returns one state
+/// per worker. Propagates the first worker panic to the caller after
+/// every worker has stopped.
+pub(crate) fn run_morsels<S, I, F>(degree: usize, nmorsels: usize, init: I, fold: F) -> Vec<S>
 where
-    T: Send,
-    F: Fn(u32) -> T + Sync,
+    S: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, u32) + Sync,
 {
     let workers = degree.min(nmorsels).max(1);
     let timeline_on = tde_obs::timeline::enabled();
+    let run = |state: &mut S, w: usize, m: u32, was_stolen: bool| {
+        let t0 = timeline_on.then(Instant::now);
+        fold(state, m);
+        if let Some(t0) = t0 {
+            tde_obs::timeline::morsel_span(w as u32, m, was_stolen, t0);
+        }
+    };
     if workers == 1 {
-        return (0..nmorsels as u32)
-            .map(|m| {
-                let t0 = timeline_on.then(Instant::now);
-                let v = f(m);
-                if let Some(t0) = t0 {
-                    tde_obs::timeline::morsel_span(0, m, false, t0);
-                }
-                v
-            })
-            .collect();
+        let mut state = init();
+        for m in 0..nmorsels as u32 {
+            run(&mut state, 0, m, false);
+        }
+        return vec![state];
     }
     // Contiguous per-worker ranges: worker w owns morsels
     // [w*chunk, min((w+1)*chunk, n)).
@@ -216,18 +230,16 @@ where
         })
         .collect();
     let poison: Mutex<Option<String>> = Mutex::new(None);
-    let mut results: Vec<Done<T>> = Vec::with_capacity(nmorsels);
+    let mut states: Vec<S> = Vec::with_capacity(workers);
     let mut dispatched = 0u64;
     let mut stolen = 0u64;
     let mut busy: Vec<u64> = Vec::with_capacity(workers);
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
-                let deques = &deques;
-                let poison = &poison;
-                let f = &f;
+                let (deques, poison, init, run) = (&deques, &poison, &init, &run);
                 s.spawn(move || {
-                    let mut out: Vec<Done<T>> = Vec::new();
+                    let mut state = init();
                     let mut dispatched = 0u64;
                     let mut stolen = 0u64;
                     let started = Instant::now();
@@ -245,12 +257,7 @@ where
                             let Some((m, was_stolen)) = task else { break };
                             dispatched += 1;
                             stolen += u64::from(was_stolen);
-                            let t0 = timeline_on.then(Instant::now);
-                            let v = f(m);
-                            if let Some(t0) = t0 {
-                                tde_obs::timeline::morsel_span(w as u32, m, was_stolen, t0);
-                            }
-                            out.push(Done { morsel: m, out: v });
+                            run(&mut state, w, m, was_stolen);
                         }
                     }));
                     if let Err(p) = caught {
@@ -267,13 +274,18 @@ where
                             d.drain();
                         }
                     }
-                    (out, dispatched, stolen, started.elapsed().as_nanos() as u64)
+                    (
+                        state,
+                        dispatched,
+                        stolen,
+                        started.elapsed().as_nanos() as u64,
+                    )
                 })
             })
             .collect();
         for h in handles {
-            let (out, d, st, ns) = h.join().expect("worker panic was caught in-thread");
-            results.extend(out);
+            let (state, d, st, ns) = h.join().expect("worker panic was caught in-thread");
+            states.push(state);
             dispatched += d;
             stolen += st;
             busy.push(ns);
@@ -290,10 +302,26 @@ where
     if let Some(msg) = poison.into_inner().unwrap_or_else(|e| e.into_inner()) {
         panic!("morsel worker panicked: {msg}");
     }
+    debug_assert_eq!(dispatched, nmorsels as u64, "lost or duplicated morsels");
+    states
+}
+
+/// [`run_morsels`] for pipelines whose per-morsel outputs concatenate:
+/// each worker keeps `(morsel, output)` pairs, and the pairs come back
+/// in morsel order.
+fn run_in_morsel_order<T, F>(degree: usize, nmorsels: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(u32) -> T + Sync,
+{
+    let mut done: Vec<(u32, T)> =
+        run_morsels(degree, nmorsels, Vec::new, |out, m| out.push((m, f(m))))
+            .into_iter()
+            .flatten()
+            .collect();
     // Morsel ids are unique, so the sort restores serial order exactly.
-    results.sort_by_key(|d| d.morsel);
-    debug_assert_eq!(results.len(), nmorsels, "lost or duplicated morsels");
-    results.into_iter().map(|d| d.out).collect()
+    done.sort_unstable_by_key(|d| d.0);
+    done.into_iter().map(|d| d.1).collect()
 }
 
 /// Whether `aggs` over `schema` merge exactly from per-morsel partials.
@@ -371,14 +399,6 @@ struct MorselRange {
     delta: bool,
 }
 
-/// Per-morsel pipeline output.
-enum MorselOut {
-    Blocks(Vec<Block>),
-    /// (group key, accumulators) in first-occurrence order within the
-    /// morsel (hash) or contiguous-run order (ordered).
-    Groups(Vec<(Vec<i64>, Vec<Acc>)>),
-}
-
 /// A full pipeline executed morsel-parallel: scan (eager, paged or
 /// merged) → optional pushed predicate → optional partial aggregate,
 /// with a deterministic merge phase. Output is byte-identical to the
@@ -390,7 +410,8 @@ pub struct MorselExec {
     degree: usize,
     schema: Schema,
     source_schema: Schema,
-    domains: Vec<Domain>,
+    /// Group keys, aggregates and domains of an aggregate pipeline.
+    agg: Option<AggPlan>,
     strategy: HashStrategy,
     packing: Option<KeyPacking>,
     morsels: Vec<MorselRange>,
@@ -421,35 +442,24 @@ impl MorselExec {
                 .schema()
                 .clone(),
         };
-        let (schema, domains, strategy, packing) = match pipeline.agg_parts() {
-            None => (
-                source_schema.clone(),
-                Vec::new(),
-                HashStrategy::Collision,
-                None,
-            ),
+        let (schema, agg, strategy, packing) = match pipeline.agg_parts() {
+            None => (source_schema.clone(), None, HashStrategy::Collision, None),
             Some((group_cols, aggs)) => {
+                // Real sums are not merge-safe (f64 addition is
+                // order-dependent); the planner must decline these.
+                debug_assert!(
+                    merge_safe(&source_schema, aggs),
+                    "Sum over Real is not morsel-mergeable"
+                );
                 let keys: Vec<_> = group_cols
                     .iter()
                     .map(|&c| &source_schema.fields[c])
                     .collect();
                 let (strategy, packing) = tactical::choose_hash_strategy(&keys);
-                let domains: Vec<Domain> = aggs
-                    .iter()
-                    .map(|a| domain_of(&source_schema.fields[a.col]))
-                    .collect();
-                // Real sums are not merge-safe (f64 addition is
-                // order-dependent); the planner must decline these.
-                debug_assert!(
-                    !aggs
-                        .iter()
-                        .zip(&domains)
-                        .any(|(a, d)| a.func == AggFunc::Sum && *d == Domain::Real),
-                    "Sum over Real is not morsel-mergeable"
-                );
+                let plan = AggPlan::new(&source_schema, group_cols.to_vec(), aggs.to_vec());
                 (
                     output_schema(&source_schema, group_cols, aggs),
-                    domains,
+                    Some(plan),
                     strategy,
                     packing,
                 )
@@ -463,7 +473,7 @@ impl MorselExec {
             degree: degree.max(1),
             schema,
             source_schema,
-            domains,
+            agg,
             strategy,
             packing,
             morsels,
@@ -540,170 +550,83 @@ impl MorselExec {
         }
     }
 
-    /// Run the pipeline over one morsel on the calling worker.
-    fn run_morsel(&self, m: MorselRange) -> MorselOut {
-        let mut op = self.build_leg(m);
-        match &self.pipeline {
-            MorselPipeline::Emit => {
-                let mut blocks = Vec::new();
-                while let Some(b) = op.next_block() {
-                    blocks.push(b);
-                }
-                MorselOut::Blocks(blocks)
-            }
-            MorselPipeline::HashAgg { group_cols, aggs } => {
-                let mut groups = GroupMap::new(self.strategy, self.packing.clone());
-                let mut accs: Vec<Vec<Acc>> = Vec::new();
-                let mut key = vec![0i64; group_cols.len()];
-                while let Some(block) = op.next_block() {
-                    for r in 0..block.len {
-                        for (k, &c) in group_cols.iter().enumerate() {
-                            key[k] = block.columns[c][r];
-                        }
-                        let g = groups.get_or_insert(&key);
-                        if g == accs.len() {
-                            accs.push(vec![init_acc(); aggs.len()]);
-                        }
-                        for (a, spec) in aggs.iter().enumerate() {
-                            fold(
-                                &mut accs[g][a],
-                                spec.func,
-                                &self.domains[a],
-                                block.columns[spec.col][r],
-                            );
-                        }
-                    }
-                }
-                MorselOut::Groups(groups.keys().iter().cloned().zip(accs).collect())
-            }
-            MorselPipeline::OrderedAgg { group_cols, aggs } => {
-                let mut runs: Vec<(Vec<i64>, Vec<Acc>)> = Vec::new();
-                let mut key = Vec::with_capacity(group_cols.len());
-                while let Some(block) = op.next_block() {
-                    for r in 0..block.len {
-                        key.clear();
-                        for &c in group_cols {
-                            key.push(block.columns[c][r]);
-                        }
-                        if runs.last().map(|(k, _)| k.as_slice()) != Some(&key[..]) {
-                            runs.push((key.clone(), vec![init_acc(); aggs.len()]));
-                        }
-                        let accs = &mut runs.last_mut().expect("just pushed").1;
-                        for (a, spec) in aggs.iter().enumerate() {
-                            fold(
-                                &mut accs[a],
-                                spec.func,
-                                &self.domains[a],
-                                block.columns[spec.col][r],
-                            );
-                        }
-                    }
-                }
-                MorselOut::Groups(runs)
-            }
+    /// The blocks one morsel's leg produces.
+    fn scan_morsel(&self, m: u32) -> Vec<Block> {
+        let mut op = self.build_leg(self.morsels[m as usize]);
+        std::iter::from_fn(|| op.next_block()).collect()
+    }
+
+    fn plan(&self) -> &AggPlan {
+        self.agg.as_ref().expect("aggregate pipeline")
+    }
+
+    /// An empty per-worker hash partial.
+    fn hash_groups(&self) -> HashGroups {
+        HashGroups::new(self.plan(), self.strategy, self.packing.clone())
+    }
+
+    /// Fold morsel `m` into a worker's hash partial. Row `r` of the
+    /// morsel's output sits at input position `(m << 32) + r`: morsel
+    /// order, then row order — the order the serial pipeline reads.
+    fn fold_hash_morsel(&self, groups: &mut HashGroups, m: u32) {
+        let plan = self.plan();
+        let mut op = self.build_leg(self.morsels[m as usize]);
+        let mut at = u64::from(m) << 32;
+        while let Some(block) = op.next_block() {
+            groups.fold_block(plan, &block, at);
+            at += block.len as u64;
         }
     }
 
-    /// The merge phase: deterministic, single-threaded, in morsel order.
-    fn merge(&mut self, outs: Vec<MorselOut>) {
-        match &self.pipeline {
-            MorselPipeline::Emit => {
-                self.output = outs
-                    .into_iter()
-                    .flat_map(|o| match o {
-                        MorselOut::Blocks(bs) => bs,
-                        MorselOut::Groups(_) => unreachable!("emit pipeline"),
-                    })
-                    .collect();
-            }
-            MorselPipeline::HashAgg { group_cols, aggs } => {
-                let mut groups = GroupMap::new(self.strategy, self.packing.clone());
-                let mut accs: Vec<Vec<Acc>> = Vec::new();
-                for out in outs {
-                    let MorselOut::Groups(pairs) = out else {
-                        unreachable!("aggregate pipeline")
-                    };
-                    for (key, partial) in pairs {
-                        let g = groups.get_or_insert(&key);
-                        if g == accs.len() {
-                            accs.push(vec![init_acc(); aggs.len()]);
-                        }
-                        for (a, spec) in aggs.iter().enumerate() {
-                            merge_acc(&mut accs[g][a], &partial[a], spec.func, &self.domains[a]);
-                        }
-                    }
-                }
-                // A global aggregate over empty input still produces one
-                // row of empty aggregates, SQL-style (as serial does).
-                if group_cols.is_empty() && groups.is_empty() {
-                    groups.get_or_insert(&[]);
-                    accs.push(vec![init_acc(); aggs.len()]);
-                }
-                self.output = self.finish_groups(groups.keys(), &accs, group_cols, aggs);
-            }
-            MorselPipeline::OrderedAgg { group_cols, aggs } => {
-                let mut runs: Vec<(Vec<i64>, Vec<Acc>)> = Vec::new();
-                for out in outs {
-                    let MorselOut::Groups(pairs) = out else {
-                        unreachable!("aggregate pipeline")
-                    };
-                    for (key, partial) in pairs {
-                        match runs.last_mut() {
-                            // A group straddling the morsel boundary:
-                            // fold the continuation into the open run.
-                            Some((k, accs)) if *k == key => {
-                                for (a, spec) in aggs.iter().enumerate() {
-                                    merge_acc(
-                                        &mut accs[a],
-                                        &partial[a],
-                                        spec.func,
-                                        &self.domains[a],
-                                    );
-                                }
-                            }
-                            _ => runs.push((key, partial)),
-                        }
-                    }
-                }
-                let keys: Vec<Vec<i64>> = runs.iter().map(|(k, _)| k.clone()).collect();
-                let accs: Vec<Vec<Acc>> = runs.into_iter().map(|(_, a)| a).collect();
-                self.output = self.finish_groups(&keys, &accs, group_cols, aggs);
-            }
+    /// Fold morsel `m` into its own runs.
+    fn ordered_morsel(&self, m: u32) -> OrderedRuns {
+        let plan = self.plan();
+        let mut runs = OrderedRuns::new(plan);
+        let mut op = self.build_leg(self.morsels[m as usize]);
+        while let Some(block) = op.next_block() {
+            runs.fold_block(plan, &block);
         }
+        runs
     }
 
-    /// Finalize accumulators into column-major output blocks — the same
-    /// assembly the serial aggregates perform.
-    fn finish_groups(
-        &self,
-        keys: &[Vec<i64>],
-        accs: &[Vec<Acc>],
-        group_cols: &[usize],
-        aggs: &[AggSpec],
-    ) -> Vec<Block> {
-        let ncols = group_cols.len() + aggs.len();
-        let mut cols: Vec<Vec<i64>> = vec![Vec::with_capacity(keys.len()); ncols];
-        for (gk, acc) in keys.iter().zip(accs) {
-            for (k, &v) in gk.iter().enumerate() {
-                cols[k].push(v);
-            }
-            for (a, spec) in aggs.iter().enumerate() {
-                cols[group_cols.len() + a].push(final_value(&acc[a], spec.func, &self.domains[a]));
-            }
+    /// Merge per-worker hash partials into the serial output.
+    fn merge_hash(&self, parts: Vec<HashGroups>) -> Vec<Block> {
+        let plan = self.plan();
+        HashGroups::merge(plan, self.strategy, self.packing.clone(), parts).finish(plan)
+    }
+
+    /// Concatenate per-morsel runs in morsel order; a group straddling a
+    /// morsel boundary folds its continuation into the open run.
+    fn merge_runs(&self, parts: Vec<OrderedRuns>) -> Vec<Block> {
+        let plan = self.plan();
+        let mut all = OrderedRuns::new(plan);
+        for runs in parts {
+            all.append(plan, runs);
         }
-        emit_blocks(cols, ncols)
+        all.finish(plan)
     }
 
     fn run(&mut self) {
         self.ran = true;
-        let morsels = self.morsels.clone();
         if self.degree > 1 && tde_obs::metrics::enabled() {
             tde_obs::metrics::morsel_metrics().parallel_queries.inc();
         }
-        let outs = run_morsels(self.degree, morsels.len(), |m| {
-            self.run_morsel(morsels[m as usize])
-        });
-        self.merge(outs);
+        let (degree, n) = (self.degree, self.morsels.len());
+        self.output = match &self.pipeline {
+            MorselPipeline::Emit => run_in_morsel_order(degree, n, |m| self.scan_morsel(m))
+                .into_iter()
+                .flatten()
+                .collect(),
+            MorselPipeline::HashAgg { .. } => self.merge_hash(run_morsels(
+                degree,
+                n,
+                || self.hash_groups(),
+                |groups, m| self.fold_hash_morsel(groups, m),
+            )),
+            MorselPipeline::OrderedAgg { .. } => {
+                self.merge_runs(run_in_morsel_order(degree, n, |m| self.ordered_morsel(m)))
+            }
+        };
     }
 }
 
@@ -867,6 +790,27 @@ mod tests {
         });
     }
 
+    /// `push_back` after a steal would re-pend the stolen id (`[1, 4)`
+    /// after stealing 2 from `[1, 3)`), so it must refuse.
+    #[test]
+    fn deque_push_back_after_steal_is_refused() {
+        let d = RangeDeque::new(0, 3);
+        assert_eq!(d.pop_front(), Some(0));
+        assert_eq!(d.steal_back(), Some(2));
+        assert!(!d.push_back(2));
+        assert_eq!(d.remaining(), 1);
+        assert_eq!(d.pop_front(), Some(1));
+        assert_eq!(d.pop_front(), None);
+        assert_eq!(d.steal_back(), None);
+        // A drain does not lift the refusal; a pop alone never sets it.
+        assert!(!d.push_back(1));
+        let d = RangeDeque::new(0, 3);
+        assert_eq!(d.pop_front(), Some(0));
+        assert_eq!(d.drain(), (1, 3));
+        assert!(d.push_back(1));
+        assert_eq!(d.steal_back(), Some(3));
+    }
+
     #[test]
     fn deque_push_back_extends_tail() {
         let d = RangeDeque::new(3, 3);
@@ -883,15 +827,26 @@ mod tests {
     #[test]
     fn scheduler_returns_results_in_morsel_order() {
         for degree in [1usize, 2, 3, 8] {
-            let out = run_morsels(degree, 37, |m| m * 10);
+            let out = run_in_morsel_order(degree, 37, |m| m * 10);
             assert_eq!(out, (0..37).map(|m| m * 10).collect::<Vec<_>>(), "{degree}");
+        }
+    }
+
+    #[test]
+    fn scheduler_folds_each_morsel_into_exactly_one_worker_state() {
+        for degree in [1usize, 2, 3, 8] {
+            let states = run_morsels(degree, 37, Vec::new, |seen: &mut Vec<u32>, m| seen.push(m));
+            assert_eq!(states.len(), degree.min(37), "{degree}");
+            let mut all: Vec<u32> = states.into_iter().flatten().collect();
+            all.sort_unstable();
+            assert_eq!(all, (0..37).collect::<Vec<_>>(), "{degree}");
         }
     }
 
     #[test]
     fn scheduler_propagates_worker_panics() {
         let r = catch_unwind(AssertUnwindSafe(|| {
-            run_morsels(4, 64, |m| {
+            run_in_morsel_order(4, 64, |m| {
                 if m == 13 {
                     panic!("boom at morsel {m}");
                 }
@@ -1124,6 +1079,141 @@ mod tests {
                 drain(Box::new(m)),
                 &format!("merged hash tombstones={tombstones:?}"),
             );
+        }
+    }
+
+    fn hash_exec(t: &Arc<Table>, group_cols: Vec<usize>, degree: usize) -> MorselExec {
+        MorselExec::new(
+            MorselSource::Table {
+                handles: ColumnHandle::all(t),
+                expand: false,
+            },
+            None,
+            MorselPipeline::HashAgg {
+                group_cols,
+                aggs: specs(),
+            },
+            degree,
+        )
+    }
+
+    /// Folding morsels into one worker's state in descending order — the
+    /// order a thief claims them — still yields the serial group order:
+    /// positions are min-updated on every hit, not set once on insert.
+    #[test]
+    fn descending_morsel_fold_keeps_serial_group_order() {
+        let t = table(20_000);
+        for group_cols in [vec![0usize], vec![2, 0]] {
+            let want = drain(Box::new(HashAggregate::new(
+                Box::new(TableScan::new(Arc::clone(&t))),
+                group_cols.clone(),
+                specs(),
+            )));
+            let m = hash_exec(&t, group_cols.clone(), 2);
+            let mut groups = m.hash_groups();
+            for id in (0..m.morsel_count() as u32).rev() {
+                m.fold_hash_morsel(&mut groups, id);
+            }
+            assert_blocks_identical(
+                want,
+                m.merge_hash(vec![groups]),
+                &format!("descending fold groups={group_cols:?}"),
+            );
+        }
+    }
+
+    /// Key columns for each strategy over `h = scatter(i / 2)` at row
+    /// `i` — `direct` (14 bits), `perfect20` (20 bits), `perfect_hi`
+    /// (54 bits) and `wide` (54 bits, negative) — then `v` and `s`. A
+    /// group per two rows of a morsel, first occurrences interleaved, and
+    /// some groups recur in distant morsels.
+    fn high_cardinality_table(rows: i64) -> Arc<Table> {
+        // i/2 < 15,000 scattered over 12,000 keys.
+        let scatter = |i: i64| (i / 2 * 7919) % 12_000;
+        let key = |k: usize, h: i64| match k {
+            0 => h,
+            1 => h * 61,
+            2 => h << 40,
+            _ => (h << 40) - (1 << 62),
+        };
+        let builder =
+            |name: &str, dtype| ColumnBuilder::new(name, dtype, EncodingPolicy::default());
+        let mut cols: Vec<ColumnBuilder> = ["direct", "perfect20", "perfect_hi", "wide"]
+            .iter()
+            .map(|name| builder(name, DataType::Integer))
+            .collect();
+        let mut v = builder("v", DataType::Integer);
+        let mut s = builder("s", DataType::Str);
+        for i in 0..rows {
+            for (k, b) in cols.iter_mut().enumerate() {
+                b.append_i64(key(k, scatter(i)));
+            }
+            // NULLs in a few blocks only: the others take the NULL-free loops.
+            let null = (10_000..12_000).contains(&i) && i % 11 == 0;
+            v.append_i64(if null {
+                tde_types::sentinel::NULL_I64
+            } else {
+                i % 977
+            });
+            s.append_str(Some(["x", "y", "z"][i as usize % 3]));
+        }
+        cols.push(v);
+        cols.push(s);
+        Arc::new(Table::new(
+            "hc",
+            cols.into_iter().map(|b| b.finish().column).collect(),
+        ))
+    }
+
+    #[test]
+    fn high_cardinality_hash_agg_is_byte_identical_to_serial() {
+        let t = high_cardinality_table(30_000);
+        let cases: [(Vec<usize>, HashStrategy); 5] = [
+            (vec![0], HashStrategy::Direct64K),
+            (vec![1], HashStrategy::Perfect),
+            (vec![2, 5], HashStrategy::Perfect),
+            (vec![3, 1], HashStrategy::Collision),
+            (vec![3, 2], HashStrategy::Collision),
+        ];
+        let aggs = vec![
+            AggSpec::new(AggFunc::Count, 4, "n"),
+            AggSpec::new(AggFunc::Sum, 4, "s"),
+            AggSpec::new(AggFunc::Min, 4, "lo"),
+            AggSpec::new(AggFunc::Max, 5, "hi"),
+        ];
+        for (group_cols, strategy) in cases {
+            let serial = HashAggregate::new(
+                Box::new(TableScan::new(Arc::clone(&t))),
+                group_cols.clone(),
+                aggs.clone(),
+            );
+            assert_eq!(serial.strategy, strategy, "{group_cols:?}");
+            let want_schema = serial.schema().clone();
+            let want = drain(Box::new(serial));
+            let groups: usize = want.iter().map(|b| b.len).sum();
+            assert!(groups >= 12_000, "{group_cols:?}: {groups} groups");
+            for degree in [2usize, 4, 8] {
+                let m = MorselExec::new(
+                    MorselSource::Table {
+                        handles: ColumnHandle::all(&t),
+                        expand: false,
+                    },
+                    None,
+                    MorselPipeline::HashAgg {
+                        group_cols: group_cols.clone(),
+                        aggs: aggs.clone(),
+                    },
+                    degree,
+                );
+                assert_eq!(m.strategy, strategy);
+                let what = format!("{strategy:?} degree={degree} groups={group_cols:?}");
+                assert_eq!(
+                    format!("{:?}", m.schema()),
+                    format!("{want_schema:?}"),
+                    "{what}: schema"
+                );
+                assert_blocks_identical(want.clone(), drain(Box::new(m)), &what);
+            }
         }
     }
 

@@ -118,16 +118,28 @@ fn assert_columns_equal(a: &Column, b: &Column, ctx: &str) {
     }
 }
 
+/// A fresh directory for one roundtrip: the test name, the process id
+/// and a per-process counter keep the proptests, which run in parallel
+/// threads, off each other's files.
+fn unique_temp_dir(test_name: &str) -> std::path::PathBuf {
+    static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join("tde_pager_props")
+        .join(format!("{test_name}_{}_{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
 /// Roundtrip a database through both formats and compare every column.
-fn assert_roundtrips(db: &Database) {
+fn assert_roundtrips(db: &Database, test_name: &str) {
     // v1: eager, in memory.
     let mut buf = Vec::new();
     db.write_to(&mut buf).unwrap();
     let v1 = Database::read_from(&mut buf.as_slice()).unwrap();
     // v2: paged, via a temp file, fully materialized back.
-    let dir = std::env::temp_dir().join("tde_pager_props");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("prop_{}.tde2", std::process::id()));
+    let dir = unique_temp_dir(test_name);
+    let path = dir.join("prop.tde2");
     save_v2(db, &path).unwrap();
     let paged = PagedDatabase::open(&path).unwrap();
     for t in &db.tables {
@@ -140,7 +152,7 @@ fn assert_roundtrips(db: &Database) {
             assert_columns_equal(orig, &t2.columns[i], "v2");
         }
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
@@ -151,7 +163,7 @@ proptest! {
         let col = int_column("v", &data);
         let mut db = Database::new();
         db.add_table(Table::new("t", vec![col]));
-        assert_roundtrips(&db);
+        assert_roundtrips(&db, "scalar_columns_roundtrip");
     }
 
     #[test]
@@ -164,7 +176,7 @@ proptest! {
         let is_array = matches!(col.compression, Compression::Array { .. });
         let mut db = Database::new();
         db.add_table(Table::new("t", vec![col]));
-        assert_roundtrips(&db);
+        assert_roundtrips(&db, "array_compressed_columns_roundtrip");
         // The conversion must actually have produced array compression
         // for the roundtrip to mean anything.
         prop_assert!(is_array);
@@ -175,7 +187,7 @@ proptest! {
         let col = str_column("s", &picks);
         let mut db = Database::new();
         db.add_table(Table::new("t", vec![col]));
-        assert_roundtrips(&db);
+        assert_roundtrips(&db, "heap_columns_roundtrip");
     }
 
     #[test]
@@ -196,6 +208,6 @@ proptest! {
                 str_column("s", &picks[..n]),
             ],
         ));
-        assert_roundtrips(&db);
+        assert_roundtrips(&db, "mixed_tables_roundtrip");
     }
 }
